@@ -335,6 +335,14 @@ pub fn read_hopset_snapshot(r: impl Read) -> Result<Hopset, SnapshotError> {
         if !(ws[i].is_finite() && ws[i] > 0.0) {
             return Err(corrupt(format!("edge {i} has invalid weight {}", ws[i])));
         }
+        // The overlay CSR refuses self loops by panicking; a file that
+        // holds one is corrupt.
+        if us[i] == vs[i] {
+            return Err(corrupt(format!(
+                "edge {i} is a self loop at vertex {}",
+                us[i]
+            )));
+        }
         if i > 0 && scales[i] < scales[i - 1] {
             return Err(corrupt(format!("scale column decreases at edge {i}")));
         }

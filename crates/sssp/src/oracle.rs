@@ -52,7 +52,7 @@ use hopset::path_report::{build_spt_on, build_spt_reduced_on, SptResult};
 use hopset::reduction::{build_reduced_hopset_on, ReducedHopset};
 use pgraph::{ceil_log2, Graph, OverlayCsr, UnionGraph, VId, Weight, INF};
 use pram::pool::Executor;
-use pram::{bford, pool, Ledger};
+use pram::{bford, Ledger};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -768,15 +768,17 @@ impl DistanceOracle for Oracle {
     }
 
     /// `|S|` independent β-hop explorations, batched: **one** union view
-    /// and **one** reusable [`bford::BfordScratch`] serve the whole
-    /// request batch instead of reallocating per source. On graphs below
-    /// `PAR_THRESHOLD` vertices (where the per-round primitives stay
-    /// sequential) the pool fans out **across sources** instead — coarse
-    /// `task_bounds` chunks of the source list, one scratch per chunk,
-    /// rows merged in source order (chunks are contiguous and increasing),
-    /// so the result is bit-identical either way. The batch is *charged*
-    /// as parallel on the ledger regardless (Theorem 3.8: work adds,
-    /// depth does not — the PRAM claim is the counted one).
+    /// serves the whole request batch. With more than one source and more
+    /// than one effective thread the pool fans out **across sources** —
+    /// coarse `task_bounds` chunks of the source list, one reusable
+    /// [`bford::BfordScratch`] per chunk, rows merged in source order
+    /// (chunks are contiguous and increasing). Fan-out does not depend on
+    /// the graph size: an exploration's rounds go parallel only when their
+    /// *frontier* reaches `PAR_THRESHOLD`, which thin frontiers on large
+    /// graphs never do. Otherwise one scratch serves the sources in turn.
+    /// The result is bit-identical either way. The batch is *charged* as
+    /// parallel on the ledger regardless (Theorem 3.8: work adds, depth
+    /// does not — the PRAM claim is the counted one).
     fn distances_multi(&self, sources: &[VId]) -> Result<MultiSourceResult, SsspError> {
         let n = self.num_vertices();
         for &s in sources {
@@ -788,7 +790,7 @@ impl DistanceOracle for Oracle {
         let view = self.union.view();
         let mut ledger = Ledger::new();
         let mut dist = DistanceMatrix::with_capacity(sources.len(), n);
-        if n < pool::PAR_THRESHOLD && sources.len() > 1 && self.exec.effective_threads() > 1 {
+        if sources.len() > 1 && self.exec.effective_threads() > 1 {
             let bounds = self.exec.task_bounds(sources.len());
             let per_chunk = self.exec.run_chunks(&bounds, |r| {
                 // Inside a cross-source fan-out the per-round primitives

@@ -162,8 +162,12 @@ struct Frame {
     outer_water: u64,
 }
 
-#[derive(Default)]
 struct Collector {
+    /// The thread that armed the collector. Scopes opened on any other
+    /// thread (a concurrent build elsewhere in the process) are ignored:
+    /// their frames would interleave with the owner's on the one stack,
+    /// and their watermark resets would cut the owner's peaks.
+    owner: std::thread::ThreadId,
     stack: Vec<Frame>,
     done: Vec<PhaseStats>,
 }
@@ -176,6 +180,9 @@ fn phase_observer(ev: PhaseEvent, name: &'static str) {
         Err(poisoned) => poisoned.into_inner(),
     };
     let Some(col) = guard.as_mut() else { return };
+    if std::thread::current().id() != col.owner {
+        return;
+    }
     match ev {
         PhaseEvent::Enter => {
             let outer_water = reset_watermark();
@@ -187,10 +194,10 @@ fn phase_observer(ev: PhaseEvent, name: &'static str) {
             });
         }
         PhaseEvent::Exit => {
-            // Scopes are LIFO per thread and construction phases run on
-            // the coordinating thread, so the top frame is ours. A
-            // mismatched name means interleaved scopes from another
-            // thread; drop the event rather than mis-attribute.
+            // Only the owner's scopes get here, and scopes are LIFO per
+            // thread, so the top frame is ours. A mismatched name means
+            // an unbalanced scope; drop the event rather than
+            // mis-attribute.
             let matches = col
                 .stack
                 .last()
@@ -226,18 +233,42 @@ fn phase_observer(ev: PhaseEvent, name: &'static str) {
 
 /// Arm per-phase accounting: installs the `pram::phase` hook (first call
 /// in the process wins; the harness calls this once at experiment start)
-/// and activates the collector. Idempotent.
+/// and activates the collector for the calling thread, the one whose
+/// scopes it attributes. Idempotent on the same thread; a call from
+/// another thread moves the collector there and drops its open frames.
 pub fn install_phase_collector() {
     {
         let mut guard = match COLLECTOR.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if guard.is_none() {
-            *guard = Some(Collector::default());
+        let owner = std::thread::current().id();
+        match guard.as_mut() {
+            Some(col) if col.owner == owner => {}
+            Some(col) => {
+                col.owner = owner;
+                col.stack.clear();
+            }
+            None => {
+                *guard = Some(Collector {
+                    owner,
+                    stack: Vec::new(),
+                    done: Vec::new(),
+                })
+            }
         }
     }
     install_phase_hook(phase_observer);
+}
+
+/// Serializes the tests that arm the collector, drain its report or reset
+/// the watermark: run concurrently, each would move the collector to its
+/// own thread, drain the phases another is about to check, or cut the
+/// peak another is measuring.
+#[cfg(test)]
+pub(crate) fn collector_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Drain the aggregated phase report (in first-completion order) and
@@ -285,6 +316,7 @@ mod tests {
 
     #[test]
     fn watermark_resets_but_peak_does_not() {
+        let _serial = collector_test_lock();
         let v: Vec<u8> = vec![0; 1 << 20];
         std::hint::black_box(&v);
         drop(v);
@@ -305,6 +337,7 @@ mod tests {
 
     #[test]
     fn phase_collector_attributes_spikes() {
+        let _serial = collector_test_lock();
         install_phase_collector();
         let _ = take_phase_report(); // discard anything from other tests
         {

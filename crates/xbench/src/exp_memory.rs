@@ -186,6 +186,7 @@ mod tests {
 
     #[test]
     fn quick_memory_runs_and_reports_phases() {
+        let _serial = alloc::collector_test_lock();
         alloc::install_phase_collector();
         let (row, phases) = measure(2_048, 7);
         assert_eq!(row.m, 4_096);

@@ -216,6 +216,45 @@ fn oracle_snapshot_rejects_the_same_lies() {
     ));
 }
 
+/// A hopset edge whose endpoints coincide is `Corrupt`, both for the hopset
+/// container alone and for the oracle that embeds it: the overlay CSR the
+/// oracle would build refuses self loops with a panic, so the loader must
+/// reject the file first.
+#[test]
+fn hopset_self_loop_is_corrupt_not_a_panic() {
+    use pram_sssp::hopset::snapshot::{read_hopset_snapshot, HOPSET_MAGIC};
+    let g = gen::road_grid(5, 5, 3, 1.0, 4.0);
+    let oracle = Oracle::builder(g).build().unwrap();
+    let mut buf = Vec::new();
+    oracle.write_snapshot(&mut buf).unwrap();
+
+    // The hopset container is embedded whole; its data starts after the
+    // 24-byte prelude and the header block, and the params open with the
+    // u64 edge count (after the u32 params length). Columns `us` then
+    // `vs` come first, 4 bytes per edge.
+    let start = buf
+        .windows(8)
+        .position(|w| w == HOPSET_MAGIC)
+        .expect("oracle snapshot embeds a hopset container");
+    let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+    let data = start + 24 + u32_at(start + 12);
+    let ne = u64::from_le_bytes(buf[start + 28..start + 36].try_into().unwrap()) as usize;
+    assert!(ne > 0, "the instance needs a non-empty hopset");
+    let (us0, vs0) = (data, data + 4 * ne);
+    assert_ne!(buf[us0..us0 + 4], buf[vs0..vs0 + 4]);
+    buf.copy_within(us0..us0 + 4, vs0);
+
+    match read_hopset_snapshot(&buf[start..]) {
+        Err(SnapshotError::Corrupt { what }) => assert!(what.contains("self loop"), "got: {what}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    match OracleBuilder::from_snapshot_reader(buf.as_slice(), oracle.executor().clone()) {
+        Err(SnapshotError::Corrupt { what }) => assert!(what.contains("self loop"), "got: {what}"),
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("a self-loop hopset edge loaded"),
+    }
+}
+
 // ---- File-backed save/load and the ingestion pipeline. ---------------------
 
 #[test]

@@ -15,7 +15,8 @@
 //! [`reduce_labels_in_place`] implements Algorithm 3 ("Sort Array"): sort by
 //! source (ties by distance), drop duplicate sources, re-sort by distance
 //! (ties by id), keep the best `x` — **in place** on the caller's buffer, so
-//! the exploration inner loop never allocates per candidate set.
+//! the exploration inner loop never allocates per candidate set. (At
+//! `x = 1` no sort runs at all; see below.)
 //!
 //! PR 9 reshaped the reduction for the hardware: instead of two
 //! comparator sorts over 32-byte `Label` records (pointer-heavy, branchy
@@ -29,6 +30,16 @@
 //! the packed path to it record-for-record. `dist`/`pw` are non-negative
 //! finite, so `f64::to_bits` is order-monotone — the same argument the
 //! two-sort comparators already relied on.
+//!
+//! At `x = 1` — every BFS pulse of Lemma A.4 / Corollary A.5, so every
+//! ruling-set knock-out and the supercluster BFS, the bulk of construction
+//! — Algorithm 3's output is the single least candidate in
+//! `(dist_bits, src, pw_bits)`. Both entries ([`reduce_labels_columns`],
+//! [`reduce_labels_in_place_scratch`]) compute it with one linear
+//! selection pass instead: no keys, no sort, no gather. A strict `<` scan
+//! keeps the lowest index among candidates tied on all three fields — the
+//! one the packed sort keeps, since its keys end in the index — so
+//! recorded paths are unchanged too. `x ≥ 2` always takes the packed sort.
 //!
 //! [`LabelArena`] is the flat backing store for per-vertex (and
 //! per-cluster) label lists: one `n·x` slot buffer plus a per-vertex length
@@ -68,8 +79,8 @@ impl Label {
 }
 
 /// The retired two-keyed-sort implementation of Algorithm 3 — kept as the
-/// **pinned reference** for the packed-key fast path (proptests assert the
-/// two agree record-for-record on `(src, dist, pw)`). Deduplicate by
+/// **pinned reference** for the packed-key sort and the `x = 1` selection
+/// (proptests assert they agree record-for-record on `(src, dist, pw)`). Deduplicate by
 /// source keeping the best record, rank by `(dist, src)`, truncate to `x`.
 /// Both sorts are unstable (keys are total orders; after source-dedup the
 /// rank key `(dist, src)` is unique, and the dedup key `(src, dist, pw)`
@@ -174,12 +185,36 @@ fn reduce_keys(
     r
 }
 
-/// Algorithm 3 via one packed-integer-key sort (see the module docs), in
-/// place on the caller's buffer with explicit scratch — the hot-path
-/// entry. Bit-identical to [`reduce_labels_two_sort`] on every
-/// paper-visible field; fully deterministic (a pure function of the
-/// candidate sequence, which callers produce deterministically:
-/// self-labels first, then neighbors in adjacency order).
+/// Algorithm 3 at `x = 1`: the index of the candidate least in
+/// `(dist_bits, src, pw_bits)`, by one strict-`<` scan — so among
+/// candidates tied on all three fields the lowest index wins, the one the
+/// packed sort keeps (its keys carry the index as the last tiebreak).
+/// This is the packed reduction's total order evaluated as a selection:
+/// the rank sort's head is the least `(dist, src)` over the per-source
+/// minima, which is the global least `(dist, src)`, and the dedup scan
+/// settles its ties by least `(pw, index)`. `n ≥ 1`.
+#[inline]
+fn select_min(n: usize, key_of: impl Fn(usize) -> (u64, VId, u64)) -> usize {
+    let mut best = 0usize;
+    let mut best_key = key_of(0);
+    for i in 1..n {
+        let k = key_of(i);
+        if k < best_key {
+            best = i;
+            best_key = k;
+        }
+    }
+    best
+}
+
+/// Algorithm 3 in place on the caller's buffer with explicit scratch —
+/// the hot-path entry. `x = 1` (every BFS pulse and ruling-set
+/// knock-out) is a one-pass minimum selection; `x ≥ 2` runs the packed-key
+/// sort (see the module docs). Bit-identical to
+/// [`reduce_labels_two_sort`] on every paper-visible field; fully
+/// deterministic (a pure function of the candidate sequence, which
+/// callers produce deterministically: self-labels first, then neighbors
+/// in adjacency order).
 pub fn reduce_labels_in_place_scratch(
     cands: &mut Vec<Label>,
     x: usize,
@@ -189,6 +224,22 @@ pub fn reduce_labels_in_place_scratch(
     if n == 0 {
         return;
     }
+    if x == 1 {
+        let best = select_min(n, |i| {
+            let l = &cands[i];
+            (l.dist.to_bits(), l.src, l.pw.to_bits())
+        });
+        cands.swap(0, best);
+        cands.truncate(1);
+        return;
+    }
+    packed_reduce_in_place(cands, x, scratch);
+}
+
+/// The packed-key sort behind [`reduce_labels_in_place_scratch`] (any
+/// `x`; the entry routes only `x ≥ 2` here). `cands` is non-empty.
+fn packed_reduce_in_place(cands: &mut Vec<Label>, x: usize, scratch: &mut ReduceScratch) {
+    let n = cands.len();
     assert!(
         n <= u32::MAX as usize,
         "candidate index must fit the packed key"
@@ -221,11 +272,11 @@ pub fn reduce_labels_in_place(cands: &mut Vec<Label>, x: usize) {
     reduce_labels_in_place_scratch(cands, x, &mut ReduceScratch::new());
 }
 
-/// The column (SoA) variant of the packed-key reduction, for the
-/// path-free pulse fast path: candidates arrive as three parallel columns
-/// (`srcs[i]`, `dists[i]`, `pws[i]`), and the columns are reduced in
-/// place to the `≤ x` survivors in rank order. Same algorithm, same
-/// determinism argument, same reference semantics as
+/// The column (SoA) variant of the reduction, for the path-free pulse
+/// fast path: candidates arrive as three parallel columns (`srcs[i]`,
+/// `dists[i]`, `pws[i]`), and the columns are reduced in place to the
+/// `≤ x` survivors in rank order. Same algorithm, same `x = 1` selection,
+/// same determinism argument, same reference semantics as
 /// [`reduce_labels_in_place_scratch`] — pinned by the proptests — but no
 /// 32-byte record or `Option<PathHandle>` is ever touched, so both the
 /// caller's accumulation loop and the key build vectorize.
@@ -241,6 +292,29 @@ pub fn reduce_labels_columns(
     if n == 0 {
         return;
     }
+    if x == 1 {
+        let best = select_min(n, |i| (dists[i].to_bits(), srcs[i], pws[i].to_bits()));
+        srcs[0] = srcs[best];
+        dists[0] = dists[best];
+        pws[0] = pws[best];
+        srcs.truncate(1);
+        dists.truncate(1);
+        pws.truncate(1);
+        return;
+    }
+    packed_reduce_columns(srcs, dists, pws, x, scratch);
+}
+
+/// The packed-key sort behind [`reduce_labels_columns`] (any `x`; the
+/// entry routes only `x ≥ 2` here). The columns are non-empty.
+fn packed_reduce_columns(
+    srcs: &mut Vec<VId>,
+    dists: &mut Vec<Weight>,
+    pws: &mut Vec<Weight>,
+    x: usize,
+    scratch: &mut ReduceScratch,
+) {
+    let n = srcs.len();
     assert!(
         n <= u32::MAX as usize,
         "candidate index must fit the packed key"
@@ -502,26 +576,42 @@ mod tests {
         out
     }
 
+    /// The `(len, x)` grid both pinning tests sweep: every `x` up to 64
+    /// candidates, and the `x = 1` selection out to 256 (the long lists
+    /// high-degree vertices feed a BFS pulse).
+    fn pin_grid(xs: &'static [usize]) -> impl Iterator<Item = (usize, usize)> {
+        let short = (0..64usize).flat_map(move |len| xs.iter().map(move |&x| (len, x)));
+        short.chain((64..=256usize).map(|len| (len, 1)))
+    }
+
     #[test]
     fn packed_reduce_is_pinned_to_the_two_sort_reference() {
         let mut scratch = ReduceScratch::new();
-        for len in 0..64usize {
-            for x in [1usize, 2, 3, 7, 64] {
-                let cands = mixed_cands(len, (len * 31 + x) as u64);
-                let mut reference = cands.clone();
-                reduce_labels_two_sort(&mut reference, x);
-                let mut fast = cands;
-                reduce_labels_in_place_scratch(&mut fast, x, &mut scratch);
+        for (len, x) in pin_grid(&[1, 2, 3, 7, 64]) {
+            let cands = mixed_cands(len, (len * 31 + x) as u64);
+            let mut reference = cands.clone();
+            reduce_labels_two_sort(&mut reference, x);
+            let mut fast = cands.clone();
+            reduce_labels_in_place_scratch(&mut fast, x, &mut scratch);
+            assert!(
+                labels_equal(&fast, &reference),
+                "len={len} x={x}: packed {:?} vs reference {:?}",
+                fast.iter()
+                    .map(|l| (l.src, l.dist, l.pw))
+                    .collect::<Vec<_>>(),
+                reference
+                    .iter()
+                    .map(|l| (l.src, l.dist, l.pw))
+                    .collect::<Vec<_>>(),
+            );
+            // The x = 1 selection also agrees with the packed sort it
+            // replaces there.
+            if x == 1 && len > 0 {
+                let mut packed = cands;
+                packed_reduce_in_place(&mut packed, 1, &mut scratch);
                 assert!(
-                    labels_equal(&fast, &reference),
-                    "len={len} x={x}: packed {:?} vs reference {:?}",
-                    fast.iter()
-                        .map(|l| (l.src, l.dist, l.pw))
-                        .collect::<Vec<_>>(),
-                    reference
-                        .iter()
-                        .map(|l| (l.src, l.dist, l.pw))
-                        .collect::<Vec<_>>(),
+                    labels_equal(&fast, &packed),
+                    "len={len}: selection vs packed"
                 );
             }
         }
@@ -530,20 +620,78 @@ mod tests {
     #[test]
     fn columns_reduce_is_pinned_to_the_reference() {
         let mut scratch = ReduceScratch::new();
-        for len in 0..64usize {
-            for x in [1usize, 3, 16] {
-                let cands = mixed_cands(len, (len * 17 + x) as u64);
-                let mut reference = cands.clone();
-                reduce_labels_two_sort(&mut reference, x);
-                let mut srcs: Vec<VId> = cands.iter().map(|l| l.src).collect();
-                let mut dists: Vec<Weight> = cands.iter().map(|l| l.dist).collect();
-                let mut pws: Vec<Weight> = cands.iter().map(|l| l.pw).collect();
-                reduce_labels_columns(&mut srcs, &mut dists, &mut pws, x, &mut scratch);
-                assert_eq!(srcs.len(), reference.len(), "len={len} x={x}");
-                for (i, r) in reference.iter().enumerate() {
-                    assert_eq!(srcs[i], r.src, "len={len} x={x} i={i}");
-                    assert_eq!(dists[i].to_bits(), r.dist.to_bits());
-                    assert_eq!(pws[i].to_bits(), r.pw.to_bits());
+        for (len, x) in pin_grid(&[1, 3, 16]) {
+            let cands = mixed_cands(len, (len * 17 + x) as u64);
+            let mut reference = cands.clone();
+            reduce_labels_two_sort(&mut reference, x);
+            let mut srcs: Vec<VId> = cands.iter().map(|l| l.src).collect();
+            let mut dists: Vec<Weight> = cands.iter().map(|l| l.dist).collect();
+            let mut pws: Vec<Weight> = cands.iter().map(|l| l.pw).collect();
+            reduce_labels_columns(&mut srcs, &mut dists, &mut pws, x, &mut scratch);
+            assert_eq!(srcs.len(), reference.len(), "len={len} x={x}");
+            for (i, r) in reference.iter().enumerate() {
+                assert_eq!(srcs[i], r.src, "len={len} x={x} i={i}");
+                assert_eq!(dists[i].to_bits(), r.dist.to_bits());
+                assert_eq!(pws[i].to_bits(), r.pw.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn x1_selection_keeps_the_packed_candidate_and_path() {
+        // Candidates tied on (src, dist, pw) differ only in their recorded
+        // path, so which one survives decides the path a hopset edge
+        // remembers. The selection must keep the same one as the packed
+        // sort (its lowest index) and as the two-sort reference, whose
+        // sorts keep tied records in input order on lists this short.
+        let rec = |src: VId, dist: Weight, pw: Weight, via: VId| Label {
+            src,
+            dist,
+            pw,
+            path: Some(crate::path::path_extend(
+                &crate::path::path_start(via),
+                src,
+                crate::path::MemEdge::Base,
+                pw,
+            )),
+        };
+        let winner = |via: VId| rec(2, 1.0, 1.5, via);
+        let losers = [
+            rec(2, 1.0, 2.0, 90), // same (dist, src), larger pw
+            rec(3, 1.0, 1.0, 91), // same dist, larger src
+            rec(1, 1.5, 1.5, 92), // larger dist
+        ];
+        for len in 1..=12usize {
+            for first in 0..len {
+                // `len` candidates; the tied winners sit at `first`, every
+                // third slot after it, and the last slot.
+                let cands: Vec<Label> = (0..len)
+                    .map(|i| {
+                        if i == first || (i > first && ((i - first) % 3 == 0 || i == len - 1)) {
+                            winner(10 + i as VId)
+                        } else {
+                            losers[i % losers.len()].clone()
+                        }
+                    })
+                    .collect();
+                let expect =
+                    crate::path::path_materialize(cands[first].path.as_ref().expect("recorded"));
+                let mut scratch = ReduceScratch::new();
+                let mut selected = cands.clone();
+                reduce_labels_in_place_scratch(&mut selected, 1, &mut scratch);
+                let mut packed = cands.clone();
+                packed_reduce_in_place(&mut packed, 1, &mut scratch);
+                let mut reference = cands;
+                reduce_labels_two_sort(&mut reference, 1);
+                for (name, out) in [
+                    ("selection", &selected),
+                    ("packed", &packed),
+                    ("two-sort", &reference),
+                ] {
+                    assert_eq!(out.len(), 1, "{name} len={len} first={first}");
+                    assert_eq!((out[0].src, out[0].dist, out[0].pw), (2, 1.0, 1.5));
+                    let got = crate::path::path_materialize(out[0].path.as_ref().expect("kept"));
+                    assert_eq!(got, expect, "{name} len={len} first={first}");
                 }
             }
         }

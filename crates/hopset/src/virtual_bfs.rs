@@ -24,13 +24,15 @@
 //! buffer lives beside it, both reused across pulses, ruling-set levels,
 //! and phases. The pulse inner loop allocates **nothing per vertex**: each
 //! parallel chunk reuses one candidate buffer plus one
-//! [`ReduceScratch`], the packed-key reduction sorts in place, and
-//! reduced lists are written back into the arena's fixed per-vertex
-//! regions. In path-free mode the candidate loop is **column-shaped**
-//! (three plain `src`/`dist`/`pw` columns, no per-candidate branch on the
-//! label kind) so the relaxation arithmetic autovectorizes; pulse rounds
-//! use the executor's autotuned bounds (`round_bounds_auto`), switching
-//! to fine chunks + donation when the changed-vertex frontier is skewed.
+//! [`ReduceScratch`], the reduction works in place — a one-pass minimum
+//! selection at `x = 1` (every [`Explorer::bfs`] pulse), the packed-key
+//! sort at `x ≥ 2` — and reduced lists are written back into the arena's
+//! fixed per-vertex regions. In path-free mode the candidate loop is
+//! **column-shaped** (three plain `src`/`dist`/`pw` columns, no
+//! per-candidate branch on the label kind) so the relaxation arithmetic
+//! autovectorizes; pulse rounds use the executor's autotuned bounds
+//! (`round_bounds_auto`), switching to fine chunks + donation when the
+//! changed-vertex frontier is skewed.
 //!
 //! Edge provenance: overlay adjacency entries carry **global** hopset edge
 //! ids directly (the scale-block CSRs of `pgraph::OverlayCsrBuilder` tag
@@ -199,8 +201,9 @@ impl<'a> Explorer<'a> {
 
     /// One chunk of a propagation step, **path-recording** variant: the
     /// candidate loop materializes full [`Label`] records (each neighbor
-    /// relaxation extends a path handle) and reduces with the packed-key
-    /// sort through a per-chunk [`ReduceScratch`].
+    /// relaxation extends a path handle) and reduces them with
+    /// [`reduce_labels_in_place_scratch`] through a per-chunk
+    /// [`ReduceScratch`].
     fn relax_chunk_paths(
         &self,
         r: std::ops::Range<usize>,
@@ -805,6 +808,116 @@ mod tests {
             assert!(labels_equal(a, b), "vertex {v} diverged");
             assert!(a.iter().all(|l| l.path.is_none()));
             assert!(b.iter().all(|l| l.path.is_some()));
+        }
+    }
+
+    /// Run [`Explorer::bfs`] and [`crate::ruling::ruling_set`] over every
+    /// cluster on one explorer configuration; the x = 1 surfaces the
+    /// end-to-end pins below compare.
+    fn bfs_and_ruling(
+        g: &Graph,
+        threads: usize,
+        record_paths: bool,
+        sources: &[u32],
+    ) -> (Vec<Option<Detection>>, Ledger, Vec<u32>, Ledger) {
+        let view = UnionView::base_only(g);
+        let part = Partition::singletons(g.num_vertices());
+        let cm = ClusterMemory::trivial(g.num_vertices(), record_paths);
+        let exec = Executor::shared(threads);
+        let ex = Explorer {
+            exec: &exec,
+            view: &view,
+            part: &part,
+            cm: &cm,
+            threshold: 2.5,
+            hop_limit: 12,
+            record_paths,
+        };
+        let mut scratch = ExploreScratch::new();
+        let mut bfs_led = Ledger::new();
+        let det = ex.bfs(sources, 6, &mut scratch, &mut bfs_led);
+        let w: Vec<u32> = (0..part.len() as u32).collect();
+        let mut ruling_led = Ledger::new();
+        let q = crate::ruling::ruling_set(&ex, &w, &mut scratch, &mut ruling_led, None);
+        (det, bfs_led, q, ruling_led)
+    }
+
+    /// Detections agree on every paper-visible field (`pw` bit-exact).
+    fn assert_same_detections(a: &[Option<Detection>], b: &[Option<Detection>], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx}");
+        for (c, (x, y)) in a.iter().zip(b).enumerate() {
+            match (x, y) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert_eq!(
+                        (x.src_cluster, x.src_center, x.pulse, x.pw.to_bits()),
+                        (y.src_cluster, y.src_center, y.pulse, y.pw.to_bits()),
+                        "{ctx}: cluster {c}"
+                    );
+                }
+                _ => panic!("{ctx}: detection presence differs at cluster {c}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_flat_fast_path_matches_path_recording() {
+        // The x = 1 counterpart of `flat_fast_path_matches_path_recording`:
+        // the BFS pulses (and the ruling-set knock-outs built on them)
+        // reduce every list at x = 1, through the column path without
+        // paths and through the record path with them. Both must detect
+        // the same clusters from the same origins at the same pulses, with
+        // identical ledgers; recorded paths must run origin → cluster.
+        // Unit weights make candidates tie on (src, dist, pw).
+        for (lo, hi) in [(1.0, 4.0), (1.0, 1.0)] {
+            let g = gen::gnm_connected(80, 220, 13, lo, hi);
+            let sources = [0u32, 17, 42];
+            let (flat, fl, fq, frl) = bfs_and_ruling(&g, 2, false, &sources);
+            let (paths, pl, pq, prl) = bfs_and_ruling(&g, 2, true, &sources);
+            let ctx = format!("weights {lo}..{hi}");
+            assert_same_detections(&flat, &paths, &ctx);
+            assert_eq!(fl, pl, "{ctx}: bfs ledger");
+            assert_eq!(fq, pq, "{ctx}: ruling set");
+            assert_eq!(frl, prl, "{ctx}: ruling ledger");
+            assert!(flat.iter().flatten().all(|d| d.path.is_none()));
+            for (c, d) in paths.iter().enumerate() {
+                let Some(d) = d else { continue };
+                let mp = crate::path::path_materialize(d.path.as_ref().expect("recorded"));
+                assert_eq!(mp.start(), d.src_center, "{ctx}: cluster {c}");
+                assert_eq!(mp.end(), c as VId, "{ctx}: cluster {c}");
+                assert!((mp.weight() - d.pw).abs() < 1e-9, "{ctx}: cluster {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_and_ruling_set_identical_across_thread_counts() {
+        // `determinism_across_thread_counts` covers detect_neighbors; this
+        // sweeps the x = 1 engine. n is above `PAR_THRESHOLD`, so the
+        // propagate rounds really split into chunks.
+        let g = gen::gnm_connected(4_500, 9_000, 4, 1.0, 3.0);
+        let sources = [0u32, 1_234, 2_500, 4_499];
+        for record_paths in [false, true] {
+            let (d1, bl1, q1, rl1) = bfs_and_ruling(&g, 1, record_paths, &sources);
+            assert!(q1.len() > 1, "ruling set must be non-trivial");
+            for threads in [2usize, 4, 8] {
+                let (d, bl, q, rl) = bfs_and_ruling(&g, threads, record_paths, &sources);
+                let ctx = format!("threads={threads} paths={record_paths}");
+                assert_same_detections(&d1, &d, &ctx);
+                if record_paths {
+                    for (x, y) in d1.iter().flatten().zip(d.iter().flatten()) {
+                        let (px, py) = (x.path.as_ref().unwrap(), y.path.as_ref().unwrap());
+                        assert_eq!(
+                            crate::path::path_materialize(px),
+                            crate::path::path_materialize(py),
+                            "{ctx}"
+                        );
+                    }
+                }
+                assert_eq!(bl, bl1, "{ctx}: bfs ledger");
+                assert_eq!(q, q1, "{ctx}: ruling set");
+                assert_eq!(rl, rl1, "{ctx}: ruling ledger");
+            }
         }
     }
 

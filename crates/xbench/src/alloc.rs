@@ -11,7 +11,8 @@
 //! item 3).
 //!
 //! Costs: one relaxed `fetch_add` + two relaxed `fetch_max` per `alloc`,
-//! one `fetch_sub` per `dealloc` — exact, not sampled. The hot loops this
+//! one `fetch_sub` per `dealloc`, plus one thread-local add on each (the
+//! per-thread live count behind [`thread_bytes`]) — exact, not sampled. The hot loops this
 //! workspace measures are allocation-free by design, so the bookkeeping
 //! rides on the rare allocation, not on the measured rounds (the
 //! `pool-overhead` table re-recorded under the counting allocator matched
@@ -33,6 +34,7 @@
 //! concurrent allocation races, and it never affects computed values.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -46,12 +48,31 @@ static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Resettable high-water mark of `BYTES` — the phase-scoped peak.
 static WATER: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Net heap bytes the current thread allocated minus those it freed.
+    /// Const-initialized and drop-free, so the allocator may touch it at
+    /// any point of a thread's life without allocating.
+    static THREAD_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+#[inline]
+fn on_thread_delta(delta: i64) {
+    let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + delta));
+}
+
 #[inline]
 fn on_grow(sz: u64) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     let cur = BYTES.fetch_add(sz, Ordering::Relaxed) + sz;
     PEAK.fetch_max(cur, Ordering::Relaxed);
     WATER.fetch_max(cur, Ordering::Relaxed);
+    on_thread_delta(sz as i64);
+}
+
+#[inline]
+fn on_shrink(sz: u64) {
+    BYTES.fetch_sub(sz, Ordering::Relaxed);
+    on_thread_delta(-(sz as i64));
 }
 
 /// The counting wrapper around [`System`].
@@ -73,7 +94,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: `ptr`/`layout` came from `System.alloc` via the method above,
     // so forwarding the pair back to `System` is sound.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        on_shrink(layout.size() as u64);
         System.dealloc(ptr, layout)
     }
 
@@ -90,7 +111,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
                 on_grow(new - old);
             } else {
                 ALLOCS.fetch_add(1, Ordering::Relaxed);
-                BYTES.fetch_sub(old - new, Ordering::Relaxed);
+                on_shrink(old - new);
             }
         }
         p
@@ -109,6 +130,15 @@ pub fn alloc_count() -> u64 {
 /// Live heap bytes right now.
 pub fn current_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
+}
+
+/// Net heap bytes the calling thread has allocated minus those it has
+/// freed since it started. Unlike [`current_bytes`] no other thread moves
+/// it, so a single-threaded region can be charged exactly by subtracting
+/// two readings. Memory freed by a thread other than its allocator counts
+/// against the freeing thread (the value can go negative).
+pub fn thread_bytes() -> i64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 /// Absolute peak of live heap bytes since process start (never reset).
@@ -299,19 +329,25 @@ mod tests {
 
     #[test]
     fn bytes_track_live_heap_and_peak_is_monotone() {
-        let live0 = current_bytes();
+        // Live bytes are read per thread: the process-wide count also moves
+        // with every concurrently running test's allocations and frees.
+        let live0 = thread_bytes();
         let peak0 = peak_bytes();
         let v: Vec<u64> = vec![0; 1 << 16]; // 512 KiB
         std::hint::black_box(&v);
-        let live1 = current_bytes();
+        let live1 = thread_bytes();
         assert!(
             live1 >= live0 + (1 << 19),
             "512 KiB allocation must show up in live bytes ({live0} -> {live1})"
         );
-        assert!(peak_bytes() >= peak0.max(live1));
+        // The process-wide count holds the block until it is freed, and the
+        // allocation raised the peak to at least the count it produced.
+        assert!(current_bytes() >= 1 << 19, "live block in the global count");
+        let peak1 = peak_bytes();
+        assert!(peak1 >= peak0.max(1 << 19));
         drop(v);
-        assert!(current_bytes() < live1, "dealloc must subtract");
-        assert!(peak_bytes() >= live1, "absolute peak never decreases");
+        assert!(thread_bytes() <= live1 - (1 << 19), "dealloc must subtract");
+        assert!(peak_bytes() >= peak1, "absolute peak never decreases");
     }
 
     #[test]

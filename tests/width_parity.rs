@@ -117,3 +117,50 @@ fn oracle_outputs_are_width_independent() {
         f.0
     );
 }
+
+/// Path-reporting construction: the `.paths(true)` build records, on every
+/// hopset edge, the memory path its exploration realized. Unit weights make
+/// exploration candidates tie on `(src, dist, pw)` while carrying different
+/// paths, so this pins which tied candidate each label reduction keeps —
+/// something the distance-only golden above cannot see. Fingerprints the
+/// hopset columns, every memory path, and one reported SPT path.
+#[test]
+fn path_recording_outputs_are_width_independent() {
+    let g = gen::gnm_connected(512, 1_536, 11, 1.0, 1.0);
+    let oracle = Oracle::builder(g)
+        .eps(0.5)
+        .kappa(4)
+        .paths(true)
+        .build()
+        .expect("params");
+    let built = oracle.built().expect("constructed oracle keeps its hopset");
+    let mut f = Fnv::new();
+    f.push(oracle.hopset_size() as u64);
+    for (i, e) in built.hopset.iter().enumerate() {
+        f.push(e.u as u64);
+        f.push(e.v as u64);
+        f.push(e.w.to_bits());
+        f.push(e.scale as u64);
+        let p = built.hopset.path_of(i as u32).expect("paths recorded");
+        f.push(p.verts.len() as u64);
+        for &v in &p.verts {
+            f.push(v as u64);
+        }
+        for &(via, w) in &p.links {
+            f.push(match via {
+                hopset::path::MemEdge::Base => u64::MAX,
+                hopset::path::MemEdge::Hop(id) => id as u64,
+            });
+            f.push(w.to_bits());
+        }
+    }
+    let spt = oracle.spt(0).expect("paths recorded");
+    for v in spt.path_to(511).expect("connected") {
+        f.push(v as u64);
+    }
+    assert_eq!(
+        f.0, 0x5bce_737e_c738_2d37,
+        "path-recording fingerprint drifted (got {:#x})",
+        f.0
+    );
+}

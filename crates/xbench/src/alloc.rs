@@ -11,8 +11,7 @@
 //! item 3).
 //!
 //! Costs: one relaxed `fetch_add` + two relaxed `fetch_max` per `alloc`,
-//! one `fetch_sub` per `dealloc`, plus one thread-local add on each (the
-//! per-thread live count behind [`thread_bytes`]) — exact, not sampled. The hot loops this
+//! one `fetch_sub` per `dealloc` — exact, not sampled. The hot loops this
 //! workspace measures are allocation-free by design, so the bookkeeping
 //! rides on the rare allocation, not on the measured rounds (the
 //! `pool-overhead` table re-recorded under the counting allocator matched
@@ -34,6 +33,7 @@
 //! concurrent allocation races, and it never affects computed values.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+#[cfg(test)]
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -48,13 +48,17 @@ static PEAK: AtomicU64 = AtomicU64::new(0);
 /// Resettable high-water mark of `BYTES` — the phase-scoped peak.
 static WATER: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
 thread_local! {
     /// Net heap bytes the current thread allocated minus those it freed.
+    /// Test builds only: the unit tests run concurrently, so they charge
+    /// their own allocations here instead of on the process-wide `BYTES`.
     /// Const-initialized and drop-free, so the allocator may touch it at
     /// any point of a thread's life without allocating.
     static THREAD_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
+#[cfg(test)]
 #[inline]
 fn on_thread_delta(delta: i64) {
     let _ = THREAD_BYTES.try_with(|b| b.set(b.get() + delta));
@@ -66,12 +70,14 @@ fn on_grow(sz: u64) {
     let cur = BYTES.fetch_add(sz, Ordering::Relaxed) + sz;
     PEAK.fetch_max(cur, Ordering::Relaxed);
     WATER.fetch_max(cur, Ordering::Relaxed);
+    #[cfg(test)]
     on_thread_delta(sz as i64);
 }
 
 #[inline]
 fn on_shrink(sz: u64) {
     BYTES.fetch_sub(sz, Ordering::Relaxed);
+    #[cfg(test)]
     on_thread_delta(-(sz as i64));
 }
 
@@ -133,11 +139,13 @@ pub fn current_bytes() -> u64 {
 }
 
 /// Net heap bytes the calling thread has allocated minus those it has
-/// freed since it started. Unlike [`current_bytes`] no other thread moves
-/// it, so a single-threaded region can be charged exactly by subtracting
-/// two readings. Memory freed by a thread other than its allocator counts
-/// against the freeing thread (the value can go negative).
-pub fn thread_bytes() -> i64 {
+/// freed since it started (test builds only). Unlike [`current_bytes`] no
+/// other thread moves it, so a single-threaded region can be charged
+/// exactly by subtracting two readings. Memory freed by a thread other
+/// than its allocator counts against the freeing thread (the value can go
+/// negative).
+#[cfg(test)]
+fn thread_bytes() -> i64 {
     THREAD_BYTES.with(Cell::get)
 }
 
@@ -330,7 +338,9 @@ mod tests {
     #[test]
     fn bytes_track_live_heap_and_peak_is_monotone() {
         // Live bytes are read per thread: the process-wide count also moves
-        // with every concurrently running test's allocations and frees.
+        // with every concurrently running test's allocations and frees. The
+        // exact process-wide rise and fall is asserted in the one-test
+        // binary `tests/alloc_global.rs`, where nothing else allocates.
         let live0 = thread_bytes();
         let peak0 = peak_bytes();
         let v: Vec<u64> = vec![0; 1 << 16]; // 512 KiB
